@@ -101,13 +101,17 @@ def point_workloads(index: GridIndex, pattern: str = "full") -> np.ndarray:
     return cell_workloads(index, pattern)[index.point_cell_rank]
 
 
-def sort_by_workload(index: GridIndex, pattern: str = "full") -> np.ndarray:
+def sort_by_workload(
+    index: GridIndex, pattern: str = "full", *, workloads: np.ndarray | None = None
+) -> np.ndarray:
     """The SORTBYWL permutation: point indices of D' (most work first).
 
     Cells are ordered by non-increasing per-point workload (stable, so equal
-    cells keep index order); points stay grouped by cell.
+    cells keep index order); points stay grouped by cell. ``workloads``
+    passes :func:`cell_workloads` for ``pattern`` when the caller already
+    quantified them, so they are not computed again.
     """
-    wl = cell_workloads(index, pattern)
+    wl = cell_workloads(index, pattern) if workloads is None else workloads
     cell_order = stable_argsort_desc(wl)
     return gather_slices(
         index.point_order,

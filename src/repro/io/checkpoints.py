@@ -9,6 +9,12 @@ reloaded result is *bit-identical* to the in-memory one — same pair
 bytes, same float64 simulated times — which is what lets a resumed run
 merge to the exact golden result.
 
+Fragments are written uncompressed (``np.savez``): the parent process
+writes each one while the rest of the run waits, and zlib-compressing
+pair ids costs far more time than the disk space it saves (a few times
+the bytes on disk). :func:`load_shard_fragment` reads either form, so
+fragments of older, compressed journals still resume.
+
 Writes are atomic: the archive is written to a ``.tmp`` sibling and
 ``os.replace``\\ d into place, so a crash mid-write leaves either the
 previous fragment or nothing — never a torn file. Fragments are an
@@ -58,7 +64,7 @@ def save_shard_fragment(
     )
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        np.savez_compressed(
+        np.savez(
             fh,
             pairs=result.pairs,
             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),

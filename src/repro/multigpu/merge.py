@@ -5,9 +5,9 @@ so the merge must not depend on execution order: pairs are gathered in
 *shard-id* order and then put into canonical lexicographic order, giving a
 byte-identical result for any interleaving of the same shard set. Planners
 that shard cell-granularly under a mirrored half-pattern are additionally
-deduped (``np.unique`` row dedup) — single-coverage emission makes this a
-no-op in practice, but the merge enforces the invariant rather than
-assuming it.
+row-deduped (see :func:`merge_pairs`) — single-coverage emission makes
+this a no-op in practice, but the merge enforces the invariant rather
+than assuming it.
 
 The merged pipeline is synthesized from the scheduler trace: per-shard
 kernel windows in dispatch order, total time = pool makespan. That keeps
@@ -31,15 +31,37 @@ def merge_pairs(pairs_list: list[np.ndarray], *, dedup: bool = False) -> np.ndar
 
     ``dedup=True`` also removes duplicate rows — required when a shard
     plan could emit one pair from two shards.
+
+    Rows sort as one int64 key ``a * m + b`` (``m`` = largest column-1 id
+    plus 1), decoded back with ``divmod``: for non-negative ids that order
+    is the lexicographic row order, and equal keys are equal rows, so the
+    bytes are those of a two-key ``lexsort`` gather (or of
+    ``np.unique(axis=0)`` when deduplicating). Ids for which the key could
+    leave int64 take the ``lexsort`` path.
     """
     blocks = [np.asarray(p, dtype=np.int64).reshape(-1, 2) for p in pairs_list if len(p)]
     if not blocks:
         return np.empty((0, 2), dtype=np.int64)
-    pairs = np.concatenate(blocks, axis=0)
-    if dedup:
-        return np.unique(pairs, axis=0)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    lowest = min(int(b.min()) for b in blocks)
+    top = max(int(b[:, 0].max()) for b in blocks)
+    m = max(int(b[:, 1].max()) for b in blocks) + 1
+    if lowest < 0 or (top + 1) * m > 2**63:
+        pairs = np.concatenate(blocks, axis=0)
+        if dedup:
+            return np.unique(pairs, axis=0)
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    keys = np.concatenate([b[:, 0] * m + b[:, 1] for b in blocks])
+    keys.sort()
+    if dedup and len(keys) > 1:
+        # sorted keys: a row repeats exactly where a key equals its
+        # predecessor (np.unique gives the same array, far slower)
+        fresh = np.empty(len(keys), dtype=bool)
+        fresh[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+    out = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, m, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 def pipeline_from_trace(trace: ScheduleTrace) -> PipelineResult:

@@ -27,11 +27,11 @@ cell-granular shards under the mirrored half-patterns are flagged
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.sortbywl import point_workloads
+from repro.core.sortbywl import cell_workloads
 from repro.grid import GridIndex
 from repro.util import gather_slices, stable_argsort_desc
 
@@ -67,6 +67,11 @@ class ShardPlan:
     planner: str
     num_queries: int
     may_duplicate: bool = False
+    #: per-cell SORTBYWL workloads a self-join plan was weighted by (its
+    #: pattern's :func:`~repro.core.sortbywl.cell_workloads`), kept so a
+    #: run derives D' from them instead of quantifying the cells again;
+    #: ``None`` for query-side plans
+    cell_workloads: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_shards(self) -> int:
@@ -94,20 +99,31 @@ class ShardPlan:
         return [int(i) for i in stable_argsort_desc(works)]
 
 
-def _build(shard_members, weights, planner, num_queries, *, may_duplicate=False):
-    shards = [
-        Shard(
-            shard_id=s,
-            points=np.asarray(members, dtype=np.int64),
-            estimated_work=float(weights[members].sum()) if len(members) else 0.0,
+def _build(
+    shard_members,
+    weights,
+    planner,
+    num_queries,
+    *,
+    may_duplicate=False,
+    cell_workloads=None,
+):
+    shards = []
+    for s, members in enumerate(shard_members):
+        points = np.asarray(members, dtype=np.int64)
+        shards.append(
+            Shard(
+                shard_id=s,
+                points=points,
+                estimated_work=float(weights[points].sum()) if len(points) else 0.0,
+            )
         )
-        for s, members in enumerate(shard_members)
-    ]
     return ShardPlan(
         shards=shards,
         planner=planner,
         num_queries=num_queries,
         may_duplicate=may_duplicate,
+        cell_workloads=cell_workloads,
     )
 
 
@@ -116,16 +132,20 @@ def _lpt_partition(ids: np.ndarray, weights: np.ndarray, num_shards: int):
 
     Deterministic: ties on bin load break toward the lowest shard id
     (heap keyed on ``(load, shard_id)``), ids of equal weight keep their
-    relative order (stable sort).
+    relative order (stable sort). The loop runs over Python scalars
+    (``tolist``): the same float additions as NumPy's, without a NumPy
+    scalar per element.
     """
     order = ids[stable_argsort_desc(weights[ids])]
     heap = [(0.0, s) for s in range(num_shards)]
     heapq.heapify(heap)
     members: list[list[int]] = [[] for _ in range(num_shards)]
-    for q in order:
-        load, s = heapq.heappop(heap)
-        members[s].append(int(q))
-        heapq.heappush(heap, (load + float(weights[q]), s))
+    for q, w in zip(order.tolist(), weights[order].tolist()):
+        # (load, shard) keys are unique, so replacing the root pops and
+        # pushes exactly as a heappop + heappush would
+        load, s = heap[0]
+        members[s].append(q)
+        heapq.heapreplace(heap, (load + w, s))
     return members
 
 
@@ -177,14 +197,16 @@ def plan_shards(
 
     The workload signal is :func:`~repro.core.sortbywl.point_workloads`
     under the configured access pattern — the same quantification SORTBYWL
-    sorts by, reused one level up. Empty shards are legal (more shards
-    than points): they carry zero work and produce zero rows.
+    sorts by, reused one level up; the per-cell workloads stay on the plan
+    (``ShardPlan.cell_workloads``) for the run's D'. Empty shards are legal
+    (more shards than points): they carry zero work and produce zero rows.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     n = index.num_points
+    cell_wl = cell_workloads(index, pattern) if n else None
     weights = (
-        point_workloads(index, pattern).astype(np.float64)
+        cell_wl[index.point_cell_rank].astype(np.float64)
         if n
         else np.zeros(0, dtype=np.float64)
     )
@@ -204,7 +226,14 @@ def plan_shards(
     # merge's defensive dedup (emission is still single-coverage, but the
     # invariant is cheap to enforce and the plan records the risk).
     may_duplicate = planner == "cell_blocks" and pattern != "full"
-    return _build(members, weights, planner, n, may_duplicate=may_duplicate)
+    return _build(
+        members,
+        weights,
+        planner,
+        n,
+        may_duplicate=may_duplicate,
+        cell_workloads=cell_wl,
+    )
 
 
 def _cell_block_partition(index: GridIndex, num_shards: int) -> list[np.ndarray]:

@@ -28,11 +28,14 @@ through ``multiprocessing.shared_memory`` — or by re-opening the same
 ``.npy`` file when the dataset is a :class:`numpy.memmap`
 (``load_dataset(..., mmap=True)``), in which case no process ever holds
 a full resident copy. Each worker builds its grid index once (the bulk
-``method="sorted"`` build) and then answers shard subsets from it.
+``method="sorted"`` build) and then answers shards from it, each shard
+arriving as the query order the host derived for the whole run at once
+(:func:`native_shard_orders`).
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -51,6 +54,7 @@ __all__ = [
     "SharedArray",
     "execute_shard_native",
     "native_query_order",
+    "native_shard_orders",
     "run_shards_process",
     "share_array",
 ]
@@ -93,6 +97,28 @@ def native_query_order(
         workloads, _ = bipartite_workloads(index, op.queries[ids])
         return ids[stable_argsort_desc(workloads)]
     return ids
+
+
+def native_shard_orders(
+    op, index: GridIndex, cfg, shards, *, cell_workloads: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Every shard's query order, indexed like ``shards``.
+
+    Each entry equals ``native_query_order(op, index, cfg,
+    subset=shard.points)``, but a sorted self-join derives the full D'
+    once — from ``cell_workloads`` (the plan's, see
+    :attr:`~repro.multigpu.sharding.ShardPlan.cell_workloads`) when
+    given — and restricts it to each shard, instead of re-sorting the
+    whole index per shard. Other orders are already per-shard work.
+    """
+    if op.kind != "self" or not cfg.uses_sorted_points:
+        return [native_query_order(op, index, cfg, subset=s.points) for s in shards]
+    order = sort_by_workload(index, cfg.pattern, workloads=cell_workloads)
+    owner = np.full(index.num_points, -1, dtype=np.int64)
+    for pos, shard in enumerate(shards):
+        owner[shard.points] = pos
+    owner = owner[order]
+    return [order[owner == pos] for pos in range(len(shards))]
 
 
 def _file_backed(arr) -> bool:
@@ -224,9 +250,8 @@ def _self_join_blocks(index, order, *, include_self, chunk_pairs):
                 yield _mirrored(qi[keep], cj[keep])
 
 
-def _bipartite_blocks(op, index, order, *, chunk_pairs):
+def _bipartite_blocks(queries, index, order, *, chunk_pairs):
     eps2 = index.epsilon * index.epsilon
-    queries = op.queries
     hits = _refiner(queries, index.points, eps2)
     for qi, cj in iter_bipartite_blocks(
         index, queries[order], query_ids=order, chunk_pairs=chunk_pairs
@@ -236,12 +261,22 @@ def _bipartite_blocks(op, index, order, *, chunk_pairs):
             yield np.stack([qi[keep], cj[keep]], axis=1)
 
 
+def _join_blocks(kind, index, order, *, queries, include_self, chunk_pairs):
+    """Pair blocks of one shard visiting ``order``, by op kind."""
+    if kind == "self":
+        return _self_join_blocks(
+            index, order, include_self=include_self, chunk_pairs=chunk_pairs
+        )
+    return _bipartite_blocks(queries, index, order, chunk_pairs=chunk_pairs)
+
+
 def execute_shard_native(
     op,
     index: GridIndex,
     cfg,
     *,
     subset: np.ndarray | None = None,
+    order: np.ndarray | None = None,
     description: str | None = None,
     keep_fragments: bool = True,
     chunk_pairs: int = NATIVE_CHUNK_PAIRS,
@@ -252,20 +287,25 @@ def execute_shard_native(
     order-normalized (compare via
     :meth:`~repro.core.result.JoinResult.canonical_pairs`); fragments are
     the per-block pair buffers, so streaming consumption works unchanged.
-    Pipeline times are host wall-clock, ``fidelity="none"``.
+    Pipeline times are host wall-clock, ``fidelity="none"``, and include
+    deriving the query order. ``order`` is the shard's order when the
+    caller already has it (a pooled run's :func:`native_shard_orders`);
+    otherwise it is derived from ``subset``.
     """
-    order = native_query_order(op, index, cfg, subset=subset)
-    include_self = getattr(op, "include_self", True)
     t0 = time.perf_counter()
+    if order is None:
+        order = native_query_order(op, index, cfg, subset=subset)
     fragments: list[np.ndarray] = []
     starts: list[float] = []
     ends: list[float] = []
-    if op.kind == "self":
-        blocks = _self_join_blocks(
-            index, order, include_self=include_self, chunk_pairs=chunk_pairs
-        )
-    else:
-        blocks = _bipartite_blocks(op, index, order, chunk_pairs=chunk_pairs)
+    blocks = _join_blocks(
+        op.kind,
+        index,
+        order,
+        queries=getattr(op, "queries", None),
+        include_self=getattr(op, "include_self", True),
+        chunk_pairs=chunk_pairs,
+    )
     prev = 0.0
     for block in blocks:
         now = time.perf_counter() - t0
@@ -396,7 +436,7 @@ def _attach_array(handle: SharedArray):
 _WORKER: dict = {}
 
 
-def _worker_init(points_handle, queries_handle, epsilon, spec, cfg, include_self, kind):
+def _worker_init(points_handle, queries_handle, epsilon, spec, include_self, kind):
     pts, pts_keep = _attach_array(points_handle)
     queries = None
     q_keep = None
@@ -407,46 +447,37 @@ def _worker_init(points_handle, queries_handle, epsilon, spec, cfg, include_self
     _WORKER.update(
         index=index,
         queries=queries,
-        cfg=cfg,
         include_self=include_self,
         kind=kind,
         keepalive=(pts_keep, q_keep),
     )
 
 
-class _WorkerOp:
-    """Duck-typed stand-in for the runtime op inside a worker process."""
-
-    def __init__(self, kind, include_self, queries):
-        self.kind = kind
-        self.include_self = include_self
-        self.queries = queries
-
-    def result_epsilon(self, index):
-        return float(index.epsilon)
-
-    def describe(self, cfg):
-        return cfg.describe()
-
-
 def _worker_run(task):
-    shard_id, subset, chunk_pairs = task
-    index = _WORKER["index"]
-    cfg = _WORKER["cfg"]
-    op = _WorkerOp(_WORKER["kind"], _WORKER["include_self"], _WORKER["queries"])
-    t0 = time.perf_counter()
-    order = native_query_order(op, index, cfg, subset=subset)
-    if op.kind == "self":
-        blocks = _self_join_blocks(
-            index, order, include_self=op.include_self, chunk_pairs=chunk_pairs
+    """One shard in a worker: ``(shard_id, pid, pairs, start, end, num_queries)``.
+
+    The task carries the shard's query order, derived once by the host
+    (:func:`native_shard_orders`); the pid names the worker that ran it.
+    ``start``/``end`` are ``time.perf_counter()`` stamps — the system-wide
+    monotonic clock, so they share the host's time base and bound exactly
+    the worker's own execution of the shard.
+    """
+    shard_id, order, chunk_pairs = task
+    start = time.perf_counter()
+    found = list(
+        _join_blocks(
+            _WORKER["kind"],
+            _WORKER["index"],
+            order,
+            queries=_WORKER["queries"],
+            include_self=_WORKER["include_self"],
+            chunk_pairs=chunk_pairs,
         )
-    else:
-        blocks = _bipartite_blocks(op, index, order, chunk_pairs=chunk_pairs)
-    found = [b for b in blocks]
+    )
     pairs = (
         np.concatenate(found, axis=0) if found else np.empty((0, 2), dtype=np.int64)
     )
-    return shard_id, pairs, time.perf_counter() - t0, len(order)
+    return shard_id, os.getpid(), pairs, start, time.perf_counter(), len(order)
 
 
 def run_shards_process(
@@ -455,6 +486,7 @@ def run_shards_process(
     cfg,
     shards,
     *,
+    orders,
     num_workers: int,
     dispatch_order,
     completed=None,
@@ -465,6 +497,8 @@ def run_shards_process(
 ):
     """Fan a pooled native join's shards over real worker processes.
 
+    ``orders[shard_id]`` is each shard's query order
+    (:func:`native_shard_orders`), shipped to the worker that runs it.
     ``dispatch_order`` is the shard-id dispatch sequence (the scheduler's
     most-work-first queue); ``completed`` maps already-durable shard ids
     to their results (checkpoint resume) — those are not re-executed.
@@ -476,7 +510,11 @@ def run_shards_process(
 
     Returns ``(results, events)``: results indexed by shard id, events as
     ``(shard_id, device_id, start, end, num_pairs, num_points)`` tuples
-    in host wall-clock seconds since pool start.
+    in host wall-clock seconds since pool start, spanning the worker's
+    execution of the shard. ``device_id`` numbers the worker process that
+    ran the shard (in the order workers first report back), so one id's
+    events never overlap; a shard answered from ``completed`` ran in no
+    worker and keeps its dispatch slot modulo ``num_workers``.
     """
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -503,12 +541,12 @@ def run_shards_process(
                 queries_handle,
                 float(index.epsilon),
                 index.spec,
-                cfg,
                 include_self,
                 op.kind,
             ),
         ) as pool:
-            futures = {}
+            futures = []
+            workers: dict[int, int] = {}  # pid -> device id
             dispatched = 0
             for slot, shard_id in enumerate(dispatch_order):
                 shard = shard_by_id[shard_id]
@@ -526,22 +564,22 @@ def run_shards_process(
                          cached.total_seconds, cached.num_pairs, len(shard.points))
                     )
                     continue
-                fut = pool.submit(
-                    _worker_run,
-                    (shard_id, np.asarray(shard.points, dtype=np.int64), chunk_pairs),
+                futures.append(
+                    pool.submit(_worker_run, (shard_id, orders[shard_id], chunk_pairs))
                 )
-                futures[fut] = slot % num_workers
             for fut in as_completed(futures):
-                shard_id, pairs, seconds, num_queries = fut.result()
-                end = time.perf_counter() - t0
+                shard_id, pid, pairs, start, end, num_queries = fut.result()
+                start -= t0
+                end -= t0
+                device_id = workers.setdefault(pid, len(workers))
                 result = JoinResult(
                     pairs=pairs,
                     epsilon=op.result_epsilon(index),
                     num_points=num_queries,
                     batch_stats=[],
                     pipeline=PipelineResult(
-                        total_seconds=seconds,
-                        kernel_start=np.array([max(end - seconds, 0.0)]),
+                        total_seconds=end - start,
+                        kernel_start=np.array([start]),
                         kernel_end=np.array([end]),
                         transfer_end=np.array([end]),
                     ),
@@ -552,8 +590,7 @@ def run_shards_process(
                 if save_shard is not None:
                     save_shard(shard_id, result)
                 events.append(
-                    (shard_id, futures[fut], max(end - seconds, 0.0), end,
-                     len(pairs), num_queries)
+                    (shard_id, device_id, start, end, len(pairs), num_queries)
                 )
     finally:
         if points_seg is not None:

@@ -33,7 +33,11 @@ from repro.grid import GridIndex
 from repro.resilience.executor import FaultyExecutor
 from repro.resilience.faults import SimulatedCrashError
 from repro.runtime.config import NATIVE_ENGINE, RuntimeConfig
-from repro.runtime.native import execute_shard_native, run_shards_process
+from repro.runtime.native import (
+    execute_shard_native,
+    native_shard_orders,
+    run_shards_process,
+)
 from repro.runtime.plan import ExpansionStage, JoinPlan, NativeLaunchStage
 from repro.simt import AtomicCounter, BufferOverflowError, CostParams, DeviceSpec
 
@@ -493,6 +497,17 @@ class Runner:
         completed = journal.load_completed() if (journal is not None and resume) else {}
         crash = rc.fault_plan.crash_point() if rc.fault_plan is not None else None
         dispatched = 0
+        orders = (
+            native_shard_orders(
+                op,
+                index,
+                opt,
+                shard_stage.plan.shards,
+                cell_workloads=shard_stage.plan.cell_workloads,
+            )
+            if rc.engine == NATIVE_ENGINE
+            else None
+        )
 
         def run_shard(device, shard):
             nonlocal dispatched
@@ -510,7 +525,7 @@ class Runner:
                     op,
                     index,
                     opt,
-                    subset=shard.points,
+                    order=orders[shard.shard_id],
                     keep_fragments=False,
                     chunk_pairs=native_launch.chunk_pairs,
                 )
@@ -595,26 +610,29 @@ class Runner:
         completed = journal.load_completed() if (journal is not None and resume) else {}
         crash = rc.fault_plan.crash_point() if rc.fault_plan is not None else None
 
-        save = None
-        if journal is not None:
-            def save(shard_id, result):
-                journal.save_shard(shard_id, result)
-
+        shards = shard_stage.plan.shards
         dispatch = (
             shard_stage.plan.dispatch_order()
             if shard_stage.schedule == "dynamic"
-            else [s.shard_id for s in shard_stage.plan.shards]
+            else [s.shard_id for s in shards]
         )
         try:
             results, raw_events = run_shards_process(
                 op,
                 index,
                 rc.optimization,
-                shard_stage.plan.shards,
+                shards,
+                orders=native_shard_orders(
+                    op,
+                    index,
+                    rc.optimization,
+                    shards,
+                    cell_workloads=shard_stage.plan.cell_workloads,
+                ),
                 num_workers=shard_stage.num_devices,
                 dispatch_order=dispatch,
                 completed=completed,
-                save_shard=save,
+                save_shard=journal.save_shard if journal is not None else None,
                 deadline_check=deadline.check,
                 crash_at=crash.at_shard if crash is not None else None,
                 chunk_pairs=launch.chunk_pairs,

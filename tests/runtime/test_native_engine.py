@@ -9,6 +9,8 @@ and the process worker backend, and is honest about its fidelity
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,15 @@ from repro.resilience import (
     SimulatedCrashError,
     Straggler,
 )
-from repro.runtime import CheckpointConfig, NativeLaunchStage, native_query_order
+from repro.runtime import (
+    CheckpointConfig,
+    NativeLaunchStage,
+    execute_shard_native,
+    native_query_order,
+)
+from repro.runtime import native as native_mod
+from repro.runtime.native import native_shard_orders
+from repro.runtime.ops import BipartiteOp, SelfJoinOp
 from repro.runtime.plan import LaunchStage
 
 NATIVE_PRESETS = ("gpucalcglobal", "lidunicomp", "sortbywl", "workqueue_k8", "combined")
@@ -167,6 +177,77 @@ class TestQueryOrder:
         ).tolist() == [5, 2, 9]
 
 
+    def test_total_seconds_covers_query_ordering(self, shared_index, monkeypatch):
+        real = native_mod.native_query_order
+
+        def slow_order(*args, **kwargs):
+            time.sleep(0.25)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(native_mod, "native_query_order", slow_order)
+        result = execute_shard_native(SelfJoinOp(), shared_index, PRESETS["sortbywl"])
+        assert result.total_seconds >= 0.25
+        assert result.pipeline.kernel_start[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "preset,planner",
+        [
+            ("sortbywl", "balanced"),
+            ("sortbywl", "strided"),
+            ("combined", "cell_blocks"),
+            ("gpucalcglobal", "balanced"),
+        ],
+    )
+    def test_shard_orders_match_per_shard_order(self, shared_index, preset, planner):
+        cfg = PRESETS[preset]
+        rc = RuntimeConfig(
+            optimization=cfg,
+            engine="native",
+            sharding=ShardingConfig(num_devices=2, shards_per_device=2, planner=planner),
+        )
+        plan = compile_self_join(shared_index, rc).shard_stage.plan
+        assert plan.cell_workloads is not None
+        op = SelfJoinOp()
+        want = [native_query_order(op, shared_index, cfg, subset=s.points) for s in plan.shards]
+        for workloads in (plan.cell_workloads, None):
+            got = native_shard_orders(
+                op, shared_index, cfg, plan.shards, cell_workloads=workloads
+            )
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_bipartite_shard_orders_match_per_shard_order(self, shared_index):
+        cfg = PRESETS["sortbywl"]
+        op = BipartiteOp(np.random.default_rng(5).uniform(0.0, 8.0, (90, 2)))
+        rc = RuntimeConfig(
+            optimization=cfg, engine="native", sharding=ShardingConfig(num_devices=3)
+        )
+        plan = compile_similarity_join(shared_index, op.queries, rc).shard_stage.plan
+        got = native_shard_orders(op, shared_index, cfg, plan.shards)
+        want = [native_query_order(op, shared_index, cfg, subset=s.points) for s in plan.shards]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_pooled_run_sorts_the_index_once(self, shared_index, monkeypatch):
+        calls = []
+        real = native_mod.sort_by_workload
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("workloads") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(native_mod, "sort_by_workload", counting)
+        plan = compile_self_join(
+            shared_index,
+            RuntimeConfig(
+                optimization=PRESETS["sortbywl"],
+                engine="native",
+                sharding=ShardingConfig(num_devices=2, shards_per_device=3),
+            ),
+        )
+        Runner().run(plan)
+        # one D' for six shards, from the workloads the planner computed
+        assert calls == [True]
+
+
 # -- sharding: inline pool and process workers --------------------------
 class TestSharded:
     def test_pooled_inline_matches_single_device(self, shared_index):
@@ -208,6 +289,29 @@ class TestSharded:
         assert np.array_equal(first.canonical_pairs(), inline.canonical_pairs())
         assert np.array_equal(first.pairs, again.pairs)  # deterministic buffers
         assert first.fidelity == "none"
+
+    def test_process_events_name_the_worker(self, shared_index):
+        num_workers = 2
+        result = _run(
+            shared_index,
+            "native",
+            PRESETS["sortbywl"],
+            sharding=ShardingConfig(
+                num_devices=num_workers, shards_per_device=4, workers="process"
+            ),
+        )
+        events = result.trace.events
+        assert sorted(e.shard_id for e in events) == list(range(8))
+        assert {e.device_id for e in events} <= set(range(num_workers))
+        for e in events:
+            assert 0.0 <= e.start_seconds <= e.end_seconds
+        # one worker runs one shard at a time: its events never overlap
+        for dev in range(num_workers):
+            mine = sorted(
+                (e for e in events if e.device_id == dev), key=lambda e: e.start_seconds
+            )
+            for a, b in zip(mine, mine[1:]):
+                assert a.end_seconds <= b.start_seconds
 
 
 # -- checkpoint / crash / resume ----------------------------------------
