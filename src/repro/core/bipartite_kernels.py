@@ -32,7 +32,7 @@ from repro.simt.vectorized import (
     LabelCharges,
     register_bulk_kernel,
 )
-from repro.util import as_points_array
+from repro.util import as_points_array, squared_distances
 
 __all__ = ["BipartiteKernelArgs", "bipartite_bulk", "bipartite_kernel"]
 
@@ -100,7 +100,7 @@ def bipartite_kernel(ctx: ThreadContext, args: BipartiteKernelArgs) -> None:
         ctx.charge_candidates(len(mine), index.ndim)
         if len(mine) == 0:
             continue
-        d2 = ((index.points[mine] - query) ** 2).sum(axis=1)
+        d2 = squared_distances(index.points.T, query, mine)
         hit = mine[d2 <= args._eps2]
         if len(hit):
             qcol = np.full(len(hit), q, dtype=np.int64)

@@ -104,8 +104,12 @@ class BatchOutcome:
         return float(sum(r.wasted_seconds for r in self.overflow_retries))
 
     def merged_pairs(self) -> np.ndarray:
+        """Every batch's pairs in batch order; a lone batch is returned
+        as is, not copied."""
         if not self.pairs_per_batch:
             return np.empty((0, 2), dtype=np.int64)
+        if len(self.pairs_per_batch) == 1:
+            return self.pairs_per_batch[0]
         return np.concatenate(self.pairs_per_batch, axis=0)
 
 

@@ -35,7 +35,7 @@ from repro.simt.vectorized import (
     LabelCharges,
     register_bulk_kernel,
 )
-from repro.util import gather_slices
+from repro.util import squared_distances
 
 __all__ = ["KernelArgs", "selfjoin_bulk", "selfjoin_kernel"]
 
@@ -84,7 +84,7 @@ def _refine_and_emit(
     ctx.charge_candidates(len(candidates), index.ndim)
     if len(candidates) == 0:
         return
-    d2 = ((index.points[candidates] - index.points[q]) ** 2).sum(axis=1)
+    d2 = squared_distances(index.points.T, index.points[q], candidates)
     hit = candidates[d2 <= args._eps2]
     if not args.include_self:
         hit = hit[hit != q]
@@ -249,7 +249,10 @@ class BulkEmitter:
         self.width = width
         self.eps2 = eps2
         self.include_self = include_self
-        self.dist_counts = np.zeros(width, dtype=np.int64)
+        # candidates each query group has streamed so far (its flat
+        # candidate-stream length); per-thread distance counts follow
+        # from it in closed form, see charge()
+        self.stream_len = np.zeros(-(-width // k), dtype=np.int64)
         self.emit_counts = np.zeros(width, dtype=np.int64)
         # point ids and issue positions fit int32 at simulator scale;
         # halving record width halves the reorder's memory traffic
@@ -273,50 +276,59 @@ class BulkEmitter:
 
         ``group_ids``/``q_ids``/``q_points``/``cell_ranks``/``flat_base``
         are aligned arrays over the groups that visit a non-empty cell at
-        this stage; ``flat_base`` is each query's flat candidate-stream
-        position on entry (the strided k-way split keys off it).
+        this stage (one cell per group, ``group_ids`` ascending);
+        ``flat_base`` is each query's flat candidate-stream position on
+        entry (the strided k-way split keys off it).
+
+        Candidates are addressed by *slot* — their position in
+        ``point_order`` — so each query's cell is one contiguous run of
+        the index's cell-sorted columns; slots become point ids, and hits
+        get their owner thread and query, for hits only.
 
         Callers must invoke stages in every thread's traversal order
         (``stage_key`` ascending: own cell first, then pattern offsets) —
         :meth:`pairs` reconstructs buffer order from push order.
         """
         index = self.index
+        k = self.k
         counts = index.cell_counts[cell_ranks]
         total = int(counts.sum())
         if total == 0:
             return
-        qrow = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        cand = gather_slices(index.point_order, index.cell_starts[cell_ranks], counts)
-        if self.k == 1:
-            owner = group_ids[qrow]
-        else:
-            first = np.zeros(len(counts), dtype=np.int64)
-            first[1:] = np.cumsum(counts[:-1])
-            local = np.arange(total, dtype=np.int64) - np.repeat(first, counts)
-            flat = flat_base[qrow] + local
-            owner = group_ids[qrow] * self.k + flat % self.k
-        # threads beyond the launch width never ran in the interpreter:
-        # their candidates are neither refined nor charged
-        if int(group_ids[-1]) * self.k + self.k - 1 < self.n_active:
-            keep = None  # every owner ran: skip the guard passes
-            self.dist_counts += np.bincount(owner, minlength=self.width)
-        else:
-            keep = owner < self.n_active
-            self.dist_counts += np.bincount(owner[keep], minlength=self.width)
-        diff = index.points[cand]
-        diff -= q_points[qrow]
-        np.square(diff, out=diff)
-        d2 = diff.sum(axis=1)
-        hit = d2 <= self.eps2 if keep is None else keep & (d2 <= self.eps2)
-        qcol = q_ids[qrow]
-        if not self.include_self:
-            hit &= cand != qcol
-        if not hit.any():
+        self.stream_len[group_ids] += counts
+        first = np.cumsum(counts) - counts  # each query's run in the stage
+        slots = np.arange(total, dtype=np.intp)
+        slots += np.repeat(index.cell_starts[cell_ranks] - first, counts)
+        d2 = squared_distances(
+            index.sorted_columns(), (np.repeat(c, counts) for c in q_points.T), slots
+        )
+        hit = np.flatnonzero(d2 <= self.eps2)
+        del d2
+        if not len(hit):
             return
-        h_owner = owner[hit]
+        # hits are ascending, so each query's hits are one run of them
+        bounds = np.append(np.searchsorted(hit, first), len(hit))
+        h_row = np.repeat(np.arange(len(counts)), np.diff(bounds))
+        h_cand = index.point_order[slots[hit]]
+        h_q = q_ids[h_row]
+        keep = None
+        if k == 1:
+            h_owner = group_ids[h_row]
+        else:
+            h_owner = (flat_base - first)[h_row]
+            h_owner += hit
+            h_owner %= k
+            h_owner += (group_ids * k)[h_row]
+            if int(group_ids[-1]) * k + k > self.n_active:
+                keep = h_owner < self.n_active  # the tail group is cut
+        if not self.include_self:
+            distinct = h_cand != h_q
+            keep = distinct if keep is None else keep & distinct
+        if keep is not None:
+            h_owner, h_cand, h_q = h_owner[keep], h_cand[keep], h_q[keep]
+            if not len(h_owner):
+                return
         h_issue = self.issue_pos[h_owner]
-        h_q = qcol[hit]
-        h_cand = cand[hit]
         self._push(h_issue, h_q, h_cand)
         per_hit = 1
         if mirror:
@@ -339,20 +351,43 @@ class BulkEmitter:
         push lists a thread's hits in cell order. A *stable* sort on issue
         position alone therefore reconstructs the interleaved per-thread
         emission order — no secondary keys needed, and the reorder is a
-        single row gather.
+        single row gather. Records are released as they are copied out,
+        and int32 ``(left, right)`` rows move as one 8-byte word each.
         """
-        if not self._records:
+        records, self._records = self._records, []
+        if not records:
             return np.empty((0, 2), dtype=np.int64)
-        issue = np.concatenate([rec[0] for rec in self._records])
-        rows = np.concatenate([rec[1] for rec in self._records])
+        total = sum(len(issue) for issue, _ in records)
+        issue = np.empty(total, dtype=self._idx_dtype)
+        rows = np.empty((total, 2), dtype=self._idx_dtype)
+        pos = 0
+        for i, (rec_issue, rec_rows) in enumerate(records):
+            end = pos + len(rec_issue)
+            issue[pos:end] = rec_issue
+            rows[pos:end] = rec_rows
+            pos = end
+            records[i] = None
         perm = np.argsort(issue, kind="stable")
+        del issue
+        if rows.dtype == np.int32:
+            return rows.view(np.int64).reshape(-1)[perm].view(np.int32).reshape(-1, 2)
         return rows[perm]
 
     def charge(self, charges: dict[str, LabelCharges], dist_cost: float, emit_cost: float) -> None:
-        """Fill the "dist" and "emit" charges from the tallied counts."""
-        charges["dist"] = LabelCharges(
-            self.dist_counts * dist_cost, self.dist_counts > 0
+        """Fill the "dist" and "emit" charges from the tallied counts.
+
+        A group's stages tile its flat candidate stream ``[0, T)``, and
+        lane ``r`` refines the positions ``p`` with ``p % k == r``: that is
+        ``T // k`` candidates, plus one for the lanes ``r < T % k``.
+        Threads at or beyond ``n_active`` never ran and are not charged.
+        """
+        k = self.k
+        per_lane = self.stream_len[:, None] // k + (
+            np.arange(k) < (self.stream_len % k)[:, None]
         )
+        dist_counts = per_lane.reshape(-1)[: self.width]
+        dist_counts[self.n_active :] = 0
+        charges["dist"] = LabelCharges(dist_counts * dist_cost, dist_counts > 0)
         charges["emit"] = LabelCharges(
             self.emit_counts * emit_cost, self.emit_counts > 0
         )

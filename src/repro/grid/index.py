@@ -11,6 +11,11 @@ Array layout mirrors the GPU index of Gowanlock & Karsin (2018):
 - ``point_cell_rank`` — for each point, the rank (index into ``cell_ids``)
                       of its cell.
 
+The cell-sorted coordinate columns (:meth:`GridIndex.sorted_columns`)
+are derived on first use only: the vectorized SIMT kernels refine a
+cell's candidates as one contiguous run of each column, while the
+native engine and memory-mapped datasets never build them.
+
 Total extra storage is ``O(N + C)`` with ``C <= N`` — the O(|D|) footprint
 the paper relies on.
 """
@@ -130,6 +135,7 @@ class GridIndex:
         # a plain dict so plans live exactly as long as the index they describe
         self.plan_cache: dict = {}
         self._fingerprint: str | None = None
+        self._sorted_columns: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def build(
@@ -192,6 +198,22 @@ class GridIndex:
         """Rank of the non-empty cell containing point ``i``."""
         return int(self.point_cell_rank[i])
 
+    def sorted_columns(self) -> tuple[np.ndarray, ...]:
+        """Per-dimension coordinate columns in ``point_order`` (built lazily).
+
+        ``sorted_columns()[d][s]`` is coordinate ``d`` of point
+        ``point_order[s]``, so the points of cell ``rank`` are the
+        contiguous run ``cell_starts[rank] : cell_starts[rank] +
+        cell_counts[rank]`` of every column. Built on first call and kept
+        for the index's lifetime; :meth:`memory_bytes` counts them from
+        then on.
+        """
+        if self._sorted_columns is None:
+            self._sorted_columns = tuple(
+                self.points[self.point_order, d] for d in range(self.points.shape[1])
+            )
+        return self._sorted_columns
+
     def fingerprint(self) -> str:
         """Stable cache key of this built index.
 
@@ -213,7 +235,9 @@ class GridIndex:
         return self._fingerprint
 
     def memory_bytes(self) -> int:
-        """Bytes used by the index arrays (excluding the point data itself)."""
+        """Bytes used by the index arrays (excluding the point data itself),
+        including the cell-sorted columns once :meth:`sorted_columns` has
+        built them."""
         arrays = (
             self.point_order,
             self.cell_ids,
@@ -221,6 +245,7 @@ class GridIndex:
             self.cell_counts,
             self.point_cell_rank,
             self.cell_coords_arr,
+            *(self._sorted_columns or ()),
         )
         return int(sum(a.nbytes for a in arrays))
 

@@ -65,15 +65,17 @@ def merge_pairs(pairs_list: list[np.ndarray], *, dedup: bool = False) -> np.ndar
 
 
 def pipeline_from_trace(trace: ScheduleTrace) -> PipelineResult:
-    """A pool-level pipeline view: one 'kernel window' per shard event.
+    """A pool-level pipeline view: one 'kernel window' per shard event
+    that ran on a device of this run (``journaled`` replays have none).
 
     Transfers are already accounted inside each shard's own 3-stream
     pipeline (their exposed time is part of the event duration), so the
     pool view sets ``transfer_end = kernel_end`` per event and reports the
     pool makespan as the total.
     """
-    starts = np.array([e.start_seconds for e in trace.events], dtype=np.float64)
-    ends = np.array([e.end_seconds for e in trace.events], dtype=np.float64)
+    ran = [e for e in trace.events if e.ran]
+    starts = np.array([e.start_seconds for e in ran], dtype=np.float64)
+    ends = np.array([e.end_seconds for e in ran], dtype=np.float64)
     return PipelineResult(
         total_seconds=trace.makespan_seconds,
         kernel_start=starts,

@@ -124,6 +124,8 @@ def pool_stats_from_trace(
         for d in range(trace.num_devices)
     }
     for e in trace.events:
+        if not e.ran:
+            continue
         acc = per_device[e.device_id]
         acc["shards"] += 1
         acc["busy"] += e.duration_seconds

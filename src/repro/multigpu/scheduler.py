@@ -81,8 +81,13 @@ SCHEDULE_MODES = ("static", "dynamic")
 #: ``transient`` wasted an attempt; ``lost`` is a shard dying with its
 #: device; ``preempted`` is a straggler primary killed by a winning
 #: speculative copy; ``speculative`` is that winning copy; ``cancelled``
-#: is a losing copy killed at the primary's finish.
-EVENT_KINDS = ("run", "transient", "lost", "preempted", "speculative", "cancelled")
+#: is a losing copy killed at the primary's finish; ``journaled`` is a
+#: shard a resumed process-pool run answered from its checkpoint journal
+#: — it ran in no worker of this run (``device_id`` is -1), so it counts
+#: toward no device's busy time and no makespan.
+EVENT_KINDS = (
+    "run", "transient", "lost", "preempted", "speculative", "cancelled", "journaled"
+)
 
 #: Event kinds whose result actually contributed pairs/kernel time.
 PRODUCTIVE_KINDS = ("run", "speculative")
@@ -104,6 +109,12 @@ class ShardEvent:
     @property
     def duration_seconds(self) -> float:
         return self.end_seconds - self.start_seconds
+
+    @property
+    def ran(self) -> bool:
+        """Whether a device of this run executed the attempt (every kind
+        but ``journaled``)."""
+        return self.kind != "journaled"
 
 
 @dataclass(frozen=True)
@@ -196,13 +207,14 @@ class ScheduleTrace:
     @property
     def makespan_seconds(self) -> float:
         """Host-observed response time: when the last device went idle."""
-        return max((e.end_seconds for e in self.events), default=0.0)
+        return max((e.end_seconds for e in self.events if e.ran), default=0.0)
 
     def device_busy_seconds(self) -> np.ndarray:
         """Per-device busy time, ``(num_devices,)``."""
         busy = np.zeros(self.num_devices, dtype=np.float64)
         for e in self.events:
-            busy[e.device_id] += e.duration_seconds
+            if e.ran:
+                busy[e.device_id] += e.duration_seconds
         return busy
 
     def signature(self) -> tuple:

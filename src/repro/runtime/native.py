@@ -47,7 +47,7 @@ from repro.grid import GridIndex
 from repro.grid.bipartite import bipartite_workloads, iter_bipartite_blocks
 from repro.grid.neighbors import neighbor_offsets, neighbor_ranks_for_offset
 from repro.simt.streams import PipelineResult
-from repro.util import gather_slices, stable_argsort_desc
+from repro.util import gather_slices, squared_distances, stable_argsort_desc
 
 __all__ = [
     "NATIVE_CHUNK_PAIRS",
@@ -133,9 +133,11 @@ def _file_backed(arr) -> bool:
 def _refiner(left, right, eps2):
     """``hits(qi, cj) -> kept indices`` for the ε distance predicate.
 
-    Resident datasets get contiguous per-dimension columns (1-D gathers,
-    no row materialization, no axis reduction); file-backed datasets keep
-    row gathers so only the touched pages ever become resident.
+    Resident datasets get contiguous per-dimension columns refined by
+    the kernels' shared d² (:func:`~repro.util.squared_distances`: 1-D
+    gathers, no row materialization, no axis reduction); file-backed
+    datasets keep row gathers so only the touched pages ever become
+    resident.
     """
     if _file_backed(left) or _file_backed(right):
 
@@ -153,16 +155,7 @@ def _refiner(left, right, eps2):
     )
 
     def hits(qi, cj):
-        d2 = None
-        for lc, rc in zip(lcols, rcols):
-            d = lc[qi]
-            d -= rc[cj]
-            d *= d
-            if d2 is None:
-                d2 = d
-            else:
-                d2 += d
-        return np.flatnonzero(d2 <= eps2)
+        return np.flatnonzero(squared_distances(lcols, rcols, qi, cj) <= eps2)
 
     return hits
 
@@ -509,12 +502,14 @@ def run_shards_process(
     :class:`~repro.resilience.faults.SimulatedCrashError` propagates.
 
     Returns ``(results, events)``: results indexed by shard id, events as
-    ``(shard_id, device_id, start, end, num_pairs, num_points)`` tuples
-    in host wall-clock seconds since pool start, spanning the worker's
-    execution of the shard. ``device_id`` numbers the worker process that
-    ran the shard (in the order workers first report back), so one id's
-    events never overlap; a shard answered from ``completed`` ran in no
-    worker and keeps its dispatch slot modulo ``num_workers``.
+    ``(shard_id, device_id, start, end, num_pairs, num_points, kind)``
+    tuples in host wall-clock seconds since pool start, spanning the
+    worker's execution of the shard. ``device_id`` numbers the worker
+    process that ran the shard (in the order workers first report back),
+    so one id's events never overlap. A shard answered from ``completed``
+    ran in no worker: its event is ``kind="journaled"`` on device -1 and
+    spans ``[0, recorded seconds]`` of the run that journaled it, which
+    no makespan or busy time counts.
     """
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -548,7 +543,7 @@ def run_shards_process(
             futures = []
             workers: dict[int, int] = {}  # pid -> device id
             dispatched = 0
-            for slot, shard_id in enumerate(dispatch_order):
+            for shard_id in dispatch_order:
                 shard = shard_by_id[shard_id]
                 if deadline_check is not None:
                     deadline_check(f"shard {shard_id} dispatch")
@@ -560,8 +555,8 @@ def run_shards_process(
                 if cached is not None:
                     results[shard_id] = cached
                     events.append(
-                        (shard_id, slot % num_workers, 0.0,
-                         cached.total_seconds, cached.num_pairs, len(shard.points))
+                        (shard_id, -1, 0.0, cached.total_seconds,
+                         cached.num_pairs, len(shard.points), "journaled")
                     )
                     continue
                 futures.append(
@@ -590,7 +585,7 @@ def run_shards_process(
                 if save_shard is not None:
                     save_shard(shard_id, result)
                 events.append(
-                    (shard_id, device_id, start, end, len(pairs), num_queries)
+                    (shard_id, device_id, start, end, len(pairs), num_queries, "run")
                 )
     finally:
         if points_seg is not None:

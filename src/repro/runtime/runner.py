@@ -651,8 +651,9 @@ class Runner:
                 end_seconds=end,
                 num_pairs=num_pairs,
                 num_points=num_points,
+                kind=kind,
             )
-            for sid, dev, start, end, num_pairs, num_points in raw_events
+            for sid, dev, start, end, num_pairs, num_points, kind in raw_events
         ]
         trace = ScheduleTrace(
             events=events,

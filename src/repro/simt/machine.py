@@ -249,13 +249,15 @@ class GpuMachine:
             coop_groups=coop_groups,
         )
         result = impl(launch, kernel_args)
+        if len(result.pairs) and result_buffer is None:
+            raise RuntimeError("kernel launched without a result buffer")
+        # warp statistics first: their per-thread label matrix is freed
+        # before the pairs are widened into the buffer
+        warp_stats = bulk_warp_stats(result, num_threads, num_warps, ws)
         if len(result.pairs):
-            if result_buffer is None:
-                raise RuntimeError("kernel launched without a result buffer")
             # one append: capacity overflow raises exactly when the
             # interpreted launch's cumulative emission would have
             result_buffer.append_pairs(result.pairs)
-        warp_stats = bulk_warp_stats(result, num_threads, num_warps, ws)
         return self._finish_launch(
             num_threads,
             num_warps,

@@ -10,6 +10,7 @@ __all__ = [
     "check_epsilon",
     "gather_slices",
     "pairs_to_set",
+    "squared_distances",
     "stable_argsort_desc",
 ]
 
@@ -113,3 +114,29 @@ def gather_slices(source: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -
     ends = np.cumsum(lengths)
     offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
     return source[np.repeat(starts, lengths) + offsets]
+
+
+def squared_distances(left, right, left_idx, right_idx=None) -> np.ndarray:
+    """Squared Euclidean distances, accumulated one dimension at a time.
+
+    ``left`` and ``right`` iterate the per-dimension coordinates of the
+    two sides. Each left column is gathered at ``left_idx``; each right
+    coordinate is gathered at ``right_idx`` when given, and otherwise
+    used as is (one query's scalar, or a column already aligned with the
+    gathered left side). ``d2 = (l0 - r0)**2``, then
+    ``d2 += (ld - rd)**2`` for ``d = 1, 2, ...`` in index order. This is
+    *the* definition of d² for every kernel, so engines that call it
+    agree bit for bit at every dimensionality (a row-wise
+    ``sum(axis=1)`` matches it only below 8 columns, where NumPy's
+    pairwise summation does not yet split the row).
+    """
+    d2 = None
+    for lc, rc in zip(left, right):
+        d = lc[left_idx]
+        d -= rc[right_idx] if right_idx is not None else rc
+        d *= d
+        if d2 is None:
+            d2 = d
+        else:
+            d2 += d
+    return d2

@@ -120,6 +120,120 @@ class TestBipartitePresets:
         assert len(results[0].pairs) > 0
 
 
+def _clustered(n, ndim, seed):
+    """Half a tight blob, half uniform: dense cells next to sparse ones."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [rng.normal(1.5, 0.35, (n // 2, ndim)), rng.uniform(0.0, 3.0, (n - n // 2, ndim))]
+    )
+
+
+def _hd_eps(ndim):
+    """ε growing with √ndim keeps the blob's neighbourhoods populated."""
+    return 0.35 * ndim**0.5
+
+
+def _both_engines(make_join, run):
+    return [run(make_join(engine)) for engine in ("interpreted", "vectorized")]
+
+
+class TestHigherDimensions:
+    """d² is one definition at every ndim, so equivalence holds past 2-D."""
+
+    @pytest.mark.parametrize("ndim", [3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            OptimizationConfig(),
+            OptimizationConfig(pattern="lidunicomp", k=8, work_queue=True),
+        ],
+        ids=["gpucalcglobal", "lidunicomp_k8_wq"],
+    )
+    def test_self_join(self, ndim, cfg):
+        index = GridIndex(_clustered(90, ndim, seed=ndim), _hd_eps(ndim))
+        results = _both_engines(
+            lambda engine: _self_join(cfg, seed=4, engine=engine),
+            lambda join: join.execute_on_index(index),
+        )
+        assert_results_equal(*results)
+        assert results[0].num_pairs > 3 * index.num_points  # not only self pairs
+
+    @pytest.mark.parametrize("ndim", [3, 6])
+    def test_self_join_excluding_self(self, ndim):
+        index = GridIndex(_clustered(90, ndim, seed=ndim), _hd_eps(ndim))
+        cfg = OptimizationConfig(pattern="unicomp", k=8, work_queue=True)
+        results = _both_engines(
+            lambda engine: _self_join(cfg, seed=2, engine=engine, include_self=False),
+            lambda join: join.execute_on_index(index),
+        )
+        assert_results_equal(*results)
+        assert len(results[0].pairs) > 0
+        assert not np.any(results[0].pairs[:, 0] == results[0].pairs[:, 1])
+
+    @pytest.mark.parametrize("ndim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_bipartite(self, ndim, k):
+        right = _clustered(80, ndim, seed=10 + ndim)
+        left = np.random.default_rng(ndim).normal(1.5, 0.6, size=(40, ndim))
+        cfg = OptimizationConfig(k=k, work_queue=k > 1, sort_by_workload=True)
+        results = _both_engines(
+            lambda engine: SimilarityJoin(
+                runtime=RuntimeConfig(optimization=cfg, seed=1, engine=engine)
+            ),
+            lambda join: join.execute(left, right, _hd_eps(ndim)),
+        )
+        assert_results_equal(*results)
+        assert len(results[0].pairs) > 0
+
+
+class TestBoundaryExactLattice:
+    """Integer lattice, ε = 1: axis neighbours sit at d² == ε² exactly.
+
+    Every boundary pair must be kept by both engines (the predicate is
+    ``d² <= ε²``), diagonal neighbours (d² >= 2) dropped, and duplicated
+    lattice points paired with each other.
+    """
+
+    @staticmethod
+    def _lattice(ndim: int, side: int) -> np.ndarray:
+        axes = [np.arange(side, dtype=np.float64)] * ndim
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ndim)
+        return np.concatenate([grid, grid[::5]])  # every fifth point twice
+
+    @staticmethod
+    def _expected_pairs(points: np.ndarray, include_self: bool) -> int:
+        d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        count = int((d2 <= 1.0).sum())
+        return count if include_self else count - len(points)
+
+    @pytest.mark.parametrize("ndim,side", [(2, 9), (3, 5), (5, 3)])
+    @pytest.mark.parametrize("preset", ["gpucalcglobal", "lidunicomp", "workqueue_k8"])
+    def test_self_join(self, ndim, side, preset):
+        points = self._lattice(ndim, side)
+        index = GridIndex(points, 1.0)
+        results = _both_engines(
+            lambda engine: _self_join(PRESETS[preset], seed=0, engine=engine),
+            lambda join: join.execute_on_index(index),
+        )
+        assert_results_equal(*results)
+        assert results[0].num_pairs == self._expected_pairs(points, True)
+
+    @pytest.mark.parametrize("ndim,side", [(2, 9), (4, 4)])
+    def test_bipartite(self, ndim, side):
+        points = self._lattice(ndim, side)
+        queries = points[::3] + np.eye(ndim)[0]  # shifted by exactly ε
+        cfg = OptimizationConfig(k=8, work_queue=True)
+        results = _both_engines(
+            lambda engine: SimilarityJoin(
+                runtime=RuntimeConfig(optimization=cfg, seed=0, engine=engine)
+            ),
+            lambda join: join.execute(queries, points, 1.0),
+        )
+        assert_results_equal(*results)
+        d2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        assert results[0].num_pairs == int((d2 <= 1.0).sum())
+
+
 class TestOverflowEquivalence:
     def _clamped(self, engine, *, times=1, cap=16) -> FaultyExecutor:
         return FaultyExecutor(

@@ -57,6 +57,30 @@ class TestBuild:
         assert big.memory_bytes() <= 12 * small.memory_bytes()
 
 
+class TestSortedColumns:
+    def test_columns_follow_point_order(self, small_uniform_2d):
+        idx = GridIndex(small_uniform_2d, 1.0)
+        cols = idx.sorted_columns()
+        assert len(cols) == idx.ndim
+        for d, col in enumerate(cols):
+            assert col.flags.c_contiguous
+            np.testing.assert_array_equal(col, idx.points[idx.point_order, d])
+        # a cell's points are one contiguous run of every column
+        rank = int(np.argmax(idx.cell_counts))
+        s, c = idx.cell_starts[rank], idx.cell_counts[rank]
+        np.testing.assert_array_equal(
+            np.stack([col[s : s + c] for col in cols], axis=1),
+            idx.points[idx.points_in_cell(rank)],
+        )
+
+    def test_built_lazily_once_and_counted(self, small_uniform_2d):
+        idx = GridIndex(small_uniform_2d, 1.0)
+        before = idx.memory_bytes()
+        cols = idx.sorted_columns()
+        assert idx.sorted_columns() is cols
+        assert idx.memory_bytes() == before + idx.points.nbytes
+
+
 class TestLookup:
     def test_lookup_hits_and_misses(self, small_uniform_2d):
         idx = GridIndex(small_uniform_2d, 1.0)

@@ -76,6 +76,25 @@ def test_pool_stats_math():
     assert "balanced" in rendered
 
 
+def test_journaled_events_count_toward_no_device():
+    # a resumed process run replays journaled shards with an earlier
+    # run's seconds: they stay in the trace but outside every clock
+    trace = _trace()
+    replayed = ShardEvent(3, -1, 0.0, 9.0, num_pairs=7, num_points=2, kind="journaled")
+    resumed = ScheduleTrace(
+        events=[*trace.events, replayed], mode="dynamic", num_devices=2
+    )
+    assert not replayed.ran
+    assert resumed.makespan_seconds == trace.makespan_seconds
+    assert np.array_equal(resumed.device_busy_seconds(), trace.device_busy_seconds())
+    pipe = pipeline_from_trace(resumed)
+    assert pipe.total_seconds == pytest.approx(3.5)
+    assert len(pipe.kernel_start) == len(trace.events)
+    stats = pool_stats_from_trace(resumed, [None] * 4)
+    assert stats.total_busy_seconds == pytest.approx(6.5)
+    assert sum(d.num_shards for d in stats.devices) == 3
+
+
 def test_pool_stats_degenerate_cases():
     empty = PoolStats(devices=[], makespan_seconds=0.0)
     assert empty.device_execution_efficiency == 1.0

@@ -73,6 +73,17 @@ class TestEquivalence:
         assert np.array_equal(nat.canonical_pairs(), ref.canonical_pairs())
         assert nat.num_pairs == ref.num_pairs
 
+    @pytest.mark.parametrize("workers", [None, "inline", "process"])
+    def test_never_builds_cell_sorted_columns(self, workers):
+        # the columns are the vectorized kernels' layout: a native run
+        # keeps its own access path, which is what lets memory-mapped
+        # datasets stay mapped
+        index = GridIndex(_points(seed=8), 0.35)
+        before = index.memory_bytes()
+        sharding = None if workers is None else ShardingConfig(num_devices=2, workers=workers)
+        _run(index, "native", PRESETS["combined"], sharding=sharding)
+        assert index.memory_bytes() == before
+
     @pytest.mark.parametrize(
         "k,queue", [(1, False), (4, True), (8, True)], ids=["k1", "k4_wq", "k8_wq"]
     )
@@ -302,16 +313,67 @@ class TestSharded:
         )
         events = result.trace.events
         assert sorted(e.shard_id for e in events) == list(range(8))
-        assert {e.device_id for e in events} <= set(range(num_workers))
-        for e in events:
-            assert 0.0 <= e.start_seconds <= e.end_seconds
-        # one worker runs one shard at a time: its events never overlap
-        for dev in range(num_workers):
-            mine = sorted(
-                (e for e in events if e.device_id == dev), key=lambda e: e.start_seconds
+        assert all(e.kind == "run" for e in events)
+        _assert_workers_never_overlap(events, num_workers)
+
+    def test_resumed_process_run_keeps_journaled_shards_off_workers(self, tmp_path):
+        num_workers = 2
+        index = GridIndex(_points(n=600, seed=11), 0.3)
+
+        def rc(**kw):
+            return RuntimeConfig(
+                optimization=PRESETS["sortbywl"],
+                engine="native",
+                sharding=ShardingConfig(
+                    num_devices=num_workers, shards_per_device=3, workers="process"
+                ),
+                checkpoint=CheckpointConfig(directory=tmp_path),
+                seed=0,
+                **kw,
             )
-            for a, b in zip(mine, mine[1:]):
-                assert a.end_seconds <= b.start_seconds
+
+        crash = FaultPlan(seed=0, crashes=(CrashPoint(at_shard=3),))
+        with pytest.raises(SimulatedCrashError):
+            Runner().run(compile_self_join(index, rc(fault_plan=crash)))
+        resumed = Runner().resume(compile_self_join(index, rc()))
+        fresh = _run(
+            index,
+            "native",
+            PRESETS["sortbywl"],
+            sharding=ShardingConfig(num_devices=num_workers, shards_per_device=3),
+        )
+        assert np.array_equal(resumed.canonical_pairs(), fresh.canonical_pairs())
+
+        events = resumed.trace.events
+        assert sorted(e.shard_id for e in events) == list(range(6))
+        journaled = [e for e in events if e.kind == "journaled"]
+        ran = [e for e in events if e.kind == "run"]
+        assert len(journaled) == 3 and len(ran) == 3
+        # replayed shards ran in no worker of this run: no worker id, and
+        # their recorded seconds stay out of the makespan and busy time
+        assert {e.device_id for e in journaled} == {-1}
+        _assert_workers_never_overlap(ran, num_workers)
+        trace = resumed.trace
+        assert trace.makespan_seconds == max(e.end_seconds for e in ran)
+        assert trace.device_busy_seconds().sum() == pytest.approx(
+            sum(e.duration_seconds for e in ran)
+        )
+        assert resumed.pool_stats.total_busy_seconds == pytest.approx(
+            sum(e.duration_seconds for e in ran)
+        )
+
+
+def _assert_workers_never_overlap(events, num_workers):
+    assert {e.device_id for e in events} <= set(range(num_workers))
+    for e in events:
+        assert 0.0 <= e.start_seconds <= e.end_seconds
+    # one worker runs one shard at a time: its events never overlap
+    for dev in range(num_workers):
+        mine = sorted(
+            (e for e in events if e.device_id == dev), key=lambda e: e.start_seconds
+        )
+        for a, b in zip(mine, mine[1:]):
+            assert a.end_seconds <= b.start_seconds
 
 
 # -- checkpoint / crash / resume ----------------------------------------

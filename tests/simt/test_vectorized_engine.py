@@ -187,6 +187,62 @@ class TestBipartiteEquivalence:
         assert_stats_equal(res["interpreted"][0], res["vectorized"][0])
 
 
+class TestHigherDimensions:
+    """Machine-level equivalence past 2-D: one d² definition at every ndim."""
+
+    @staticmethod
+    def _index(ndim):
+        rng = np.random.default_rng(ndim)
+        pts = np.concatenate(
+            [rng.normal(1.5, 0.3, (60, ndim)), rng.uniform(0.0, 3.0, (40, ndim))]
+        )
+        return GridIndex(pts, 0.3 * ndim**0.5)
+
+    @pytest.mark.parametrize("ndim", [3, 5])
+    @pytest.mark.parametrize("pattern", ["full", "lidunicomp"])
+    @pytest.mark.parametrize("k,use_queue", [(1, False), (8, True)])
+    def test_selfjoin(self, ndim, pattern, k, use_queue):
+        run_both(
+            self._index(ndim),
+            args_kw=dict(pattern=pattern, k=k, use_queue=use_queue),
+            issue_order="random",
+            seed=ndim,
+        )
+
+    @pytest.mark.parametrize("ndim", [4, 6])
+    def test_exclude_self(self, ndim):
+        index = self._index(ndim)
+        res = {}
+        for engine in ("interpreted", "vectorized"):
+            args = make_args(index, k=8, pattern="unicomp", use_queue=True)
+            args.include_self = False
+            res[engine] = launch(engine, selfjoin_kernel, args)
+        np.testing.assert_array_equal(res["interpreted"][1], res["vectorized"][1])
+        assert_stats_equal(res["interpreted"][0], res["vectorized"][0])
+        assert len(res["vectorized"][1]) > 0
+
+    @pytest.mark.parametrize("ndim", [3, 5])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_bipartite(self, ndim, k):
+        index = self._index(ndim)
+        queries = np.random.default_rng(9).normal(1.5, 0.6, size=(50, ndim))
+        order = np.arange(len(queries), dtype=np.int64)
+        res = {}
+        for engine in ("interpreted", "vectorized"):
+            args = BipartiteKernelArgs(
+                index=index,
+                queries=queries,
+                batch=order,
+                k=k,
+                queue_counter=AtomicCounter() if k > 1 else None,
+                queue_order=order if k > 1 else None,
+            )
+            res[engine] = launch(engine, bipartite_kernel, args)
+        np.testing.assert_array_equal(res["interpreted"][1], res["vectorized"][1])
+        assert_stats_equal(res["interpreted"][0], res["vectorized"][0])
+        assert len(res["vectorized"][1]) > 0
+
+
 class TestFallbacks:
     def test_lockstep_replay_uses_interpreter(self, index):
         args = make_args(index)

@@ -12,6 +12,7 @@ from repro.util import (
     ceil_div,
     check_epsilon,
     pairs_to_set,
+    squared_distances,
     stable_argsort_desc,
 )
 
@@ -111,3 +112,49 @@ class TestPairsToSet:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             pairs_to_set(np.zeros((3, 3)))
+
+
+class TestSquaredDistances:
+    @staticmethod
+    def _rows(seed, n, ncols):
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1e-3, 1.0, 1e3], size=(n, ncols))
+        return rng.normal(size=(n, ncols)) * scale
+
+    @pytest.mark.parametrize("ncols", range(1, 8))
+    def test_bit_equal_to_row_sum_below_eight_columns(self, ncols):
+        a = self._rows(ncols, 4000, ncols)
+        b = self._rows(100 + ncols, 4000, ncols)
+        ids = np.arange(len(a))
+        got = squared_distances(a.T, b.T, ids, ids)
+        assert got.tobytes() == ((a - b) ** 2).sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("ncols", [8, 11])
+    def test_accumulates_dimensions_in_index_order(self, ncols):
+        # from 8 columns on a row-wise sum splits pairwise; the helper's
+        # definition stays the sequential one
+        a = self._rows(ncols, 2000, ncols)
+        b = self._rows(7 * ncols, 2000, ncols)
+        expected = (a[:, 0] - b[:, 0]) ** 2
+        for d in range(1, ncols):
+            expected = expected + (a[:, d] - b[:, d]) ** 2
+        ids = np.arange(len(a))
+        assert squared_distances(a.T, b.T, ids, ids).tobytes() == expected.tobytes()
+
+    def test_gathered_columns_and_scalar_query(self):
+        pts = self._rows(3, 300, 4)
+        rng = np.random.default_rng(0)
+        left, right = rng.integers(0, 300, 500), rng.integers(0, 300, 500)
+        pair_rows = ((pts[left] - pts[right]) ** 2).sum(axis=1)
+        assert squared_distances(pts.T, pts.T, left, right).tobytes() == pair_rows.tobytes()
+        one_query = ((pts[left] - pts[7]) ** 2).sum(axis=1)
+        assert squared_distances(pts.T, pts[7], left).tobytes() == one_query.tobytes()
+
+    def test_leaves_inputs_untouched(self):
+        a = self._rows(1, 50, 3)
+        b = self._rows(2, 50, 3)
+        a0, b0 = a.copy(), b.copy()
+        squared_distances(a.T, b.T, np.arange(50), np.arange(50))
+        squared_distances(list(a.T), b[0], np.arange(50))
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)
